@@ -52,6 +52,7 @@ import (
 	"cellspot/internal/federation"
 	"cellspot/internal/history"
 	"cellspot/internal/live"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/obs"
 	"cellspot/internal/obs/httpmw"
@@ -394,19 +395,19 @@ func serve(ctx context.Context, stop context.CancelFunc, addr string, handler ht
 // filter rules — from the synthetic world, the same way beaconsim derives
 // the traffic it posts. Seed and scale must match the beacon source for the
 // mappings to line up.
-func liveInputs(seed uint64, scale float64) (live.MapInputs, error) {
+func liveInputs(seed uint64, scale float64) (mapbuild.Inputs, error) {
 	wcfg := world.DefaultConfig()
 	wcfg.Seed = seed
 	wcfg.Scale = scale
 	w, err := world.Generate(wcfg)
 	if err != nil {
-		return live.MapInputs{}, fmt.Errorf("generating world: %w", err)
+		return mapbuild.Inputs{}, fmt.Errorf("generating world: %w", err)
 	}
 	ds, err := demand.Generate(w, demand.DefaultGenConfig())
 	if err != nil {
-		return live.MapInputs{}, fmt.Errorf("generating demand: %w", err)
+		return mapbuild.Inputs{}, fmt.Errorf("generating demand: %w", err)
 	}
-	return live.MapInputs{
+	return mapbuild.Inputs{
 		Demand: ds,
 		Rules:  aschar.DefaultRules(w.Snapshot),
 		ASOf: func(b netaddr.Block) (uint32, bool) {

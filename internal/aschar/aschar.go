@@ -62,31 +62,20 @@ type Inputs struct {
 	ASOf func(netaddr.Block) (uint32, bool)
 }
 
-// BuildStats aggregates blocks into per-AS statistics.
+// BuildStats computes the full per-AS rollup that characterization reads
+// (Blocks, TotalDU and the hit tallies of every AS observed in DEMAND or
+// BEACON), on top of the cellular fields from CellStats' code. It walks
+// all of DEMAND; a build that only needs Filter's verdict should call
+// CellStats instead.
 func BuildStats(in Inputs) map[uint32]*Stats {
-	stats := make(map[uint32]*Stats)
-	get := func(a uint32) *Stats {
-		s := stats[a]
-		if s == nil {
-			s = &Stats{ASN: a}
-			stats[a] = s
-		}
-		return s
-	}
-	seen := make(netaddr.Set)
+	stats := make(rollup)
+	stats.addCellular(in)
 	if in.Demand != nil {
 		in.Demand.Each(func(b netaddr.Block, du float64) {
-			a, ok := in.ASOf(b)
-			if !ok {
-				return
-			}
-			s := get(a)
-			s.Blocks++
-			s.TotalDU += du
-			seen.Add(b)
-			if in.Detected.Has(b) {
-				s.addCellBlock(b)
-				s.CellDU += du
+			if a, ok := in.ASOf(b); ok {
+				s := stats.get(a)
+				s.Blocks++
+				s.TotalDU += du
 			}
 		})
 	}
@@ -96,29 +85,93 @@ func BuildStats(in Inputs) map[uint32]*Stats {
 			if !ok {
 				continue
 			}
-			s := get(a)
-			s.Hits += c.Hits
-			s.APIHits += c.API
-			s.CellHits += c.Cell
-			if !seen.Has(b) {
-				// Beacon-only block (no recorded demand).
-				s.Blocks++
-				if in.Detected.Has(b) {
-					s.addCellBlock(b)
-				}
+			s := stats.get(a)
+			s.addHits(c)
+			if _, ok := in.Demand.Lookup(b); !ok {
+				s.Blocks++ // beacon-only block (no recorded demand)
 			}
 		}
 	}
 	return stats
 }
 
-func (s *Stats) addCellBlock(b netaddr.Block) {
-	s.CellBlocks++
-	if b.IsV6() {
-		s.CellBlocks48++
-	} else {
-		s.CellBlocks24++
+// CellStats computes exactly what Filter reads — CellBlocks (and its
+// per-family split), CellDU and the hit tallies — for the ASes of
+// detected blocks only. It reads DEMAND once per detected block and walks
+// the beacon aggregate once, so its cost follows the detected set and the
+// aggregate, never the size of DEMAND. For every AS it returns, those
+// fields equal BuildStats' bit for bit; Blocks and TotalDU stay zero.
+//
+// origin holds the AS of every mapped detected block, so callers that go
+// on to build a map need not ask in.ASOf again.
+func CellStats(in Inputs) (stats map[uint32]*Stats, origin map[netaddr.Block]uint32) {
+	r := make(rollup)
+	origin = r.addCellular(in)
+	if in.Beacon != nil {
+		for b, c := range in.Beacon.PerBlock {
+			if a, ok := in.ASOf(b); ok {
+				if s := r[a]; s != nil {
+					s.addHits(c)
+				}
+			}
+		}
 	}
+	return r, origin
+}
+
+// rollup is a per-AS stats map under construction.
+type rollup map[uint32]*Stats
+
+func (r rollup) get(a uint32) *Stats {
+	s := r[a]
+	if s == nil {
+		s = &Stats{ASN: a}
+		r[a] = s
+	}
+	return s
+}
+
+// addCellular adds the cellular fields of every mapped detected block
+// that DEMAND or BEACON observed, and returns the AS of every mapped
+// detected block. Blocks are visited in canonical order — the order
+// Demand.Each uses — so CellDU sums identically however the detected set
+// was built.
+func (r rollup) addCellular(in Inputs) map[netaddr.Block]uint32 {
+	blocks := make([]netaddr.Block, 0, len(in.Detected))
+	for b := range in.Detected {
+		blocks = append(blocks, b)
+	}
+	netaddr.SortBlocks(blocks)
+	origin := make(map[netaddr.Block]uint32, len(blocks))
+	for _, b := range blocks {
+		a, ok := in.ASOf(b)
+		if !ok {
+			continue
+		}
+		origin[b] = a
+		du, observed := in.Demand.Lookup(b)
+		if !observed && in.Beacon != nil {
+			_, observed = in.Beacon.PerBlock[b]
+		}
+		if !observed {
+			continue
+		}
+		s := r.get(a)
+		s.CellBlocks++
+		if b.IsV6() {
+			s.CellBlocks48++
+		} else {
+			s.CellBlocks24++
+		}
+		s.CellDU += du
+	}
+	return origin
+}
+
+func (s *Stats) addHits(c *beacon.Counts) {
+	s.Hits += c.Hits
+	s.APIHits += c.API
+	s.CellHits += c.Cell
 }
 
 // Rules holds the paper's AS-filter parameters (Table 5).

@@ -50,28 +50,35 @@ type GatewayHealth struct {
 }
 
 // checkReplica probes one replica's health endpoint and folds the answer
-// into the gateway's view.
+// into the gateway's view. A probe cut short because the caller's ctx is
+// done says nothing about the replica, so it leaves the view untouched;
+// the probe's own HealthTimeout expiring does mark the replica down.
 func (g *Gateway) checkReplica(ctx context.Context, rep *replica) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
+	pctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/v1/cluster/health", nil)
+	down := func() {
+		if ctx.Err() == nil {
+			g.markDown(rep)
+		}
+	}
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, rep.url+"/v1/cluster/health", nil)
 	if err != nil {
-		g.markDown(rep)
+		down()
 		return
 	}
 	resp, err := g.cfg.Client.Do(req)
 	if err != nil {
-		g.markDown(rep)
+		down()
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		g.markDown(rep)
+		down()
 		return
 	}
 	var h HealthResponse
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		g.markDown(rep)
+		down()
 		return
 	}
 	if h.Shard != rep.shard || h.Shards != g.ring.Shards() {

@@ -67,6 +67,16 @@ func NewDataset(raw map[netaddr.Block]float64) (*Dataset, error) {
 // DU returns the block's demand units (0 when unobserved).
 func (d *Dataset) DU(b netaddr.Block) float64 { return d.du[b] }
 
+// Lookup returns the block's demand units and whether DEMAND observed it.
+// A nil dataset observes nothing.
+func (d *Dataset) Lookup(b netaddr.Block) (float64, bool) {
+	if d == nil {
+		return 0, false
+	}
+	du, ok := d.du[b]
+	return du, ok
+}
+
 // Total returns the dataset's DU total (TotalDU, modulo floating point,
 // unless the dataset is empty).
 func (d *Dataset) Total() float64 { return d.total }

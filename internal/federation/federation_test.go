@@ -19,6 +19,7 @@ import (
 	"cellspot/internal/classify"
 	"cellspot/internal/live"
 	"cellspot/internal/logio"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/netinfo"
 	"cellspot/internal/obs"
@@ -55,8 +56,8 @@ func genRecords(n int, baseDay int64, nDays int) []beacon.Record {
 	return recs
 }
 
-func testInputs() live.MapInputs {
-	return live.MapInputs{ASOf: func(netaddr.Block) (uint32, bool) { return 64496, true }}
+func testInputs() mapbuild.Inputs {
+	return mapbuild.Inputs{ASOf: func(netaddr.Block) (uint32, bool) { return 64496, true }}
 }
 
 // writeSpool appends records to a collector spool with sealed-shard
@@ -164,7 +165,7 @@ func offlineMap(t testing.TB, recs []beacon.Record) []byte {
 	for _, rec := range recs {
 		win.Add(rec)
 	}
-	m, err := live.BuildMap(win.Merged(), classify.DefaultThreshold, win.Period(), testInputs())
+	m, err := mapbuild.Build(win.Merged(), classify.DefaultThreshold, win.Period(), testInputs())
 	if err != nil {
 		t.Fatal(err)
 	}

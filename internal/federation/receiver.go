@@ -20,6 +20,7 @@ import (
 	"cellspot/internal/history"
 	"cellspot/internal/live"
 	"cellspot/internal/logio"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/obs"
 	"cellspot/internal/snapshot"
 )
@@ -76,7 +77,7 @@ type ReceiverConfig struct {
 	Threshold float64
 	// Inputs is the side data for the map-build chain; Inputs.ASOf is
 	// required.
-	Inputs live.MapInputs
+	Inputs mapbuild.Inputs
 	// Store receives published generations (required).
 	Store *snapshot.Store
 	// Keep bounds retained generations (live.DefaultKeep when <= 0).
@@ -293,6 +294,9 @@ func (r *Receiver) handleSegments(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	m, payload, err := DecodeSegment(http.MaxBytesReader(w, req.Body, MaxManifestBytes+MaxSegmentBytes+2))
 	if err != nil {
+		if req.Context().Err() != nil {
+			return // the sender hung up mid-body: nobody to answer, nothing malformed
+		}
 		r.mBadReq.Inc()
 		writeJSON(w, http.StatusBadRequest, SegmentResponse{Error: err.Error()})
 		return
@@ -492,7 +496,7 @@ func (r *Receiver) Tick() (live.Refresh, error) {
 // publish builds the map from a drained aggregate and writes map +
 // checkpoint into one staged generation.
 func (r *Receiver) publish(agg *beacon.Aggregate, period string, ck federationCheckpoint) (snapshot.Generation, int, error) {
-	m, err := live.BuildMap(agg, r.cfg.Threshold, period, r.cfg.Inputs)
+	m, err := mapbuild.Build(agg, r.cfg.Threshold, period, r.cfg.Inputs)
 	if err != nil {
 		return snapshot.Generation{}, 0, err
 	}

@@ -379,7 +379,9 @@ func (s *Shipper) shipShard(ctx context.Context, path string, rep *ShipReport) e
 		start := time.Now()
 		resp, err := s.deliver(ctx, m, payload)
 		if err != nil {
-			s.mErrors.Inc()
+			if ctx.Err() == nil {
+				s.mErrors.Inc() // a shutdown abandons nothing
+			}
 			return err
 		}
 		s.hShip.Observe(time.Since(start).Seconds())
@@ -513,6 +515,9 @@ func (s *Shipper) deliver(ctx context.Context, m Manifest, payload []byte) (segm
 		res, err := parseSegmentResponse(httpResp)
 		cancel()
 		if err != nil {
+			if ctx.Err() != nil {
+				return segmentResult{}, ctx.Err()
+			}
 			lastErr = err
 			continue
 		}

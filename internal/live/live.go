@@ -49,21 +49,6 @@ const (
 	DefaultKeep = 5
 )
 
-// MapInputs bundles the side data the map-build chain needs beyond the
-// beacon aggregate itself. It aliases mapbuild.Inputs — the chain lives in
-// internal/mapbuild so offline scenario builds share it without importing
-// the live machinery.
-type MapInputs = mapbuild.Inputs
-
-// BuildMap runs the classify → AS-filter → cellmap.Build chain over a
-// beacon aggregate: exactly the offline export path, factored out so the
-// live updater and batch builds produce bit-identical maps from identical
-// aggregates. Detected blocks whose AS fails the filter are dropped before
-// the map is built, mirroring the paper's AS-level exclusion rules.
-func BuildMap(agg *beacon.Aggregate, threshold float64, period string, in MapInputs) (*cellmap.Map, error) {
-	return mapbuild.Build(agg, threshold, period, in)
-}
-
 // Config parameterizes an Updater.
 type Config struct {
 	// SpoolDir is beacond's spool directory (required).
@@ -79,7 +64,7 @@ type Config struct {
 	Threshold float64
 	// Inputs is the side data for the map-build chain; Inputs.ASOf is
 	// required.
-	Inputs MapInputs
+	Inputs mapbuild.Inputs
 	// Store receives published generations (required).
 	Store *snapshot.Store
 	// Keep bounds retained generations (DefaultKeep when <= 0).
@@ -255,7 +240,7 @@ func (u *Updater) tick() (Refresh, error) {
 
 	agg := u.win.Merged()
 	u.gBlocks.Set(int64(agg.Blocks()))
-	m, err := BuildMap(agg, u.cfg.Threshold, u.win.Period(), u.cfg.Inputs)
+	m, err := mapbuild.Build(agg, u.cfg.Threshold, u.win.Period(), u.cfg.Inputs)
 	if err != nil {
 		return Refresh{}, err
 	}

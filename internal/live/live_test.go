@@ -12,6 +12,7 @@ import (
 	"cellspot/internal/aschar"
 	"cellspot/internal/beacon"
 	"cellspot/internal/logio"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/netinfo"
 	"cellspot/internal/obs"
@@ -27,7 +28,7 @@ import (
 // stream: the full measurement context a live deployment would have.
 type testFixture struct {
 	World   *world.World
-	Inputs  MapInputs
+	Inputs  mapbuild.Inputs
 	Records []beacon.Record
 }
 
@@ -73,7 +74,7 @@ func newFixture(t testing.TB, totalHits int) *testFixture {
 
 	return &testFixture{
 		World: w,
-		Inputs: MapInputs{
+		Inputs: mapbuild.Inputs{
 			Demand:    r.Demand,
 			Rules:     rules,
 			ASOf:      r.ASOf,
@@ -345,7 +346,7 @@ func TestTailerGzipTruncatedThenSealed(t *testing.T) {
 // --- updater ----------------------------------------------------------
 
 // TestLiveOfflineEquivalence replays a spool through the live path (tailer
-// → window → BuildMap via a full Updater publish) and rebuilds offline from
+// → window → mapbuild.Build via a full Updater publish) and rebuilds offline from
 // the same records over the same window; the two maps must serialize to
 // identical bytes. Covers plain and gzip spools.
 func TestLiveOfflineEquivalence(t *testing.T) {
@@ -406,7 +407,7 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 				return time.Unix(d*secondsPerDay, 0).UTC().Format("2006-01-02")
 			}
 			period := fmt.Sprintf("live:%s..%s", day(maxDay-DefaultWindowDays+1), day(maxDay))
-			m, err := BuildMap(agg, u.cfg.Threshold, period, fx.Inputs)
+			m, err := mapbuild.Build(agg, u.cfg.Threshold, period, fx.Inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -526,7 +527,7 @@ func TestFirstTickOnEmptySpoolPublishesEmptyGeneration(t *testing.T) {
 	store := mustOpenStore(t)
 	u, err := NewUpdater(Config{
 		SpoolDir: t.TempDir(),
-		Inputs:   MapInputs{ASOf: func(netaddr.Block) (uint32, bool) { return 0, false }},
+		Inputs:   mapbuild.Inputs{ASOf: func(netaddr.Block) (uint32, bool) { return 0, false }},
 		Store:    store,
 	})
 	if err != nil {
@@ -549,20 +550,20 @@ func TestFirstTickOnEmptySpoolPublishesEmptyGeneration(t *testing.T) {
 }
 
 // TestBuildMapAppliesASFilter: detected blocks in an AS that fails the
-// filter rules must not be published.
+// filter rules must not be published by mapbuild.Build.
 func TestBuildMapAppliesASFilter(t *testing.T) {
 	agg := beacon.NewAggregate()
 	big := netaddr.V4Block(10, 0, 0)
 	small := netaddr.V4Block(10, 1, 0)
-	agg.Add(big, 200, 200, 200)  // AS 100: plenty of hits, fully cellular
-	agg.Add(small, 20, 20, 20)   // AS 200: cellular but under MinHits
+	agg.Add(big, 200, 200, 200) // AS 100: plenty of hits, fully cellular
+	agg.Add(small, 20, 20, 20)  // AS 200: cellular but under MinHits
 	asOf := func(b netaddr.Block) (uint32, bool) {
 		if b == big {
 			return 100, true
 		}
 		return 200, true
 	}
-	m, err := BuildMap(agg, 0.5, "test", MapInputs{
+	m, err := mapbuild.Build(agg, 0.5, "test", mapbuild.Inputs{
 		Rules: aschar.Rules{MinHits: 100},
 		ASOf:  asOf,
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cellspot/internal/beacon"
+	"cellspot/internal/mapbuild"
 	"cellspot/internal/netaddr"
 	"cellspot/internal/netinfo"
 	"cellspot/internal/obs"
@@ -57,7 +58,7 @@ func TestUpdaterStragglerMetric(t *testing.T) {
 	reg := obs.NewRegistry()
 	u, err := NewUpdater(Config{
 		SpoolDir: dir,
-		Inputs:   MapInputs{ASOf: func(netaddr.Block) (uint32, bool) { return 1, true }},
+		Inputs:   mapbuild.Inputs{ASOf: func(netaddr.Block) (uint32, bool) { return 1, true }},
 		Store:    mustOpenStore(t),
 		Metrics:  reg,
 	})

@@ -3,6 +3,12 @@
 // cellular map. The live updater, the federation receiver, and the evolve
 // scenario runner all build through it, so maps from identical aggregates
 // are bit-identical regardless of which subsystem published them.
+//
+// The AS filter is fed by aschar.CellStats, not aschar.BuildStats: a
+// build reads DEMAND once per detected block and asks Inputs.ASOf once
+// per aggregate block and once per detected block, so its cost follows
+// the window rather than the size of DEMAND. The full per-AS rollup that
+// characterization needs stays with aschar.BuildStats (pipeline.Analyze).
 package mapbuild
 
 import (
@@ -33,7 +39,8 @@ type Inputs struct {
 }
 
 // Build classifies the aggregate, drops detected blocks whose AS fails
-// the paper's exclusion rules, and assembles the publishable map.
+// the paper's exclusion rules, and assembles the publishable map. The
+// output is byte-identical to filtering aschar.BuildStats' full rollup.
 func Build(agg *beacon.Aggregate, threshold float64, period string, in Inputs) (*cellmap.Map, error) {
 	if in.ASOf == nil {
 		return nil, fmt.Errorf("mapbuild: Inputs.ASOf is required")
@@ -43,7 +50,7 @@ func Build(agg *beacon.Aggregate, threshold float64, period string, in Inputs) (
 		return nil, fmt.Errorf("mapbuild: %w", err)
 	}
 	detected := cls.Classify(agg)
-	stats := aschar.BuildStats(aschar.Inputs{
+	stats, origin := aschar.CellStats(aschar.Inputs{
 		Detected: detected,
 		Beacon:   agg,
 		Demand:   in.Demand,
@@ -55,16 +62,19 @@ func Build(agg *beacon.Aggregate, threshold float64, period string, in Inputs) (
 		allowed[a] = true
 	}
 	kept := make(netaddr.Set)
-	for b := range detected {
-		if a, ok := in.ASOf(b); ok && allowed[a] {
+	for b, a := range origin {
+		if allowed[a] {
 			kept.Add(b)
 		}
 	}
 	return cellmap.Build(threshold, period, cellmap.Inputs{
-		Detected:  kept,
-		Beacon:    agg,
-		Demand:    in.Demand,
-		ASOf:      in.ASOf,
+		Detected: kept,
+		Beacon:   agg,
+		Demand:   in.Demand,
+		ASOf: func(b netaddr.Block) (uint32, bool) {
+			a, ok := origin[b]
+			return a, ok
+		},
 		CountryOf: in.CountryOf,
 	})
 }
