@@ -214,100 +214,95 @@ func run() int {
 		d.pollStore(ctx, &wg, *poll, seed)
 	}
 
-	// Embedded live refresh: tail the beacond spool and publish generations
-	// into the store the poller above is watching.
-	if *liveSpool != "" {
+	// Embedded refresh: one fold→publish engine publishing generations
+	// into the store the poller above is watching, fed either by tailing a
+	// beacond spool or by a federation listener that receives sealed-shard
+	// segments from remote collectors and folds them exactly once.
+	if *liveSpool != "" || *fedListen != "" {
 		inputs, err := liveInputs(*worldSeed, *worldScale)
 		if err != nil {
 			log.Print(err)
 			return 2
 		}
-		u, err := live.NewUpdater(live.Config{
-			SpoolDir:    *liveSpool,
-			SpoolPrefix: *livePrefix,
-			WindowDays:  *windowDays,
-			Interval:    *refresh,
-			Threshold:   *threshold,
-			Inputs:      inputs,
-			Store:       store,
-			Keep:        *keep,
-			Metrics:     reg,
-			Logf:        log.Printf,
-		})
-		if err != nil {
-			log.Print(err)
-			return 2
+		set := live.Settings{
+			WindowDays: *windowDays,
+			Threshold:  *threshold,
+			Keep:       *keep,
+			Interval:   *refresh,
+			Logf:       log.Printf,
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			u.Run(ctx)
-		}()
-	}
-
-	// Federation aggregation: a second listener receives sealed-shard
-	// segments from remote collectors; the receiver folds them exactly
-	// once and publishes generations into the store the poller above is
-	// watching.
-	if *fedListen != "" {
-		inputs, err := liveInputs(*worldSeed, *worldScale)
-		if err != nil {
-			log.Print(err)
-			return 2
-		}
-		recv, err := federation.NewReceiver(federation.ReceiverConfig{
-			WindowDays:  *windowDays,
-			Threshold:   *threshold,
-			Inputs:      inputs,
-			Store:       store,
-			Keep:        *keep,
-			MaxInflight: *maxInflight,
-			Interval:    *refresh,
-			Metrics:     reg,
-			Logf:        log.Printf,
-		})
-		if err != nil {
-			log.Print(err)
-			return 2
-		}
-		fedMux := httpmw.NewMux(reg)
-		recv.MountRoutes(fedMux)
-		fedSrv := &http.Server{
-			Addr:    *fedListen,
-			Handler: fedMux,
-			// Segments run to ~17 MiB; give slow collector uplinks time,
-			// but never a stuck one forever.
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       120 * time.Second,
-			WriteTimeout:      30 * time.Second,
-			IdleTimeout:       120 * time.Second,
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			log.Printf("federation listening on %s", *fedListen)
-			if err := fedSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("federation listener: %v", err)
+		var runLoop func(context.Context)
+		if *liveSpool != "" {
+			u, err := live.NewUpdater(live.Config{
+				SpoolDir:    *liveSpool,
+				SpoolPrefix: *livePrefix,
+				Settings:    set,
+				Inputs:      inputs,
+				Store:       store,
+				Metrics:     reg,
+			})
+			if err != nil {
+				log.Print(err)
+				return 2
 			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-ctx.Done()
-			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := fedSrv.Shutdown(shutCtx); err != nil {
-				log.Printf("federation shutdown: %v", err)
+			runLoop = u.Run
+		} else {
+			recv, err := federation.NewReceiver(federation.ReceiverConfig{
+				Settings:    set,
+				Inputs:      inputs,
+				Store:       store,
+				MaxInflight: *maxInflight,
+				Metrics:     reg,
+			})
+			if err != nil {
+				log.Print(err)
+				return 2
 			}
-		}()
+			serveFederation(ctx, &wg, *fedListen, recv, reg)
+			runLoop = recv.Run
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			recv.Run(ctx)
+			runLoop(ctx)
 		}()
 	}
 
 	return serve(ctx, stop, *addr, mux)
+}
+
+// serveFederation runs the federation listener, which hands received
+// segments to recv, until ctx is done.
+func serveFederation(ctx context.Context, wg *sync.WaitGroup, addr string, recv *federation.Receiver, reg *obs.Registry) {
+	fedMux := httpmw.NewMux(reg)
+	recv.MountRoutes(fedMux)
+	fedSrv := &http.Server{
+		Addr:    addr,
+		Handler: fedMux,
+		// Segments run to ~17 MiB; give slow collector uplinks time,
+		// but never a stuck one forever.
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       120 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		log.Printf("federation listening on %s", addr)
+		if err := fedSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("federation listener: %v", err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		<-ctx.Done()
+		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := fedSrv.Shutdown(shutCtx); err != nil {
+			log.Printf("federation shutdown: %v", err)
+		}
+	}()
 }
 
 // runGateway is the -gateway lifecycle: no map, no store — just the

@@ -37,7 +37,7 @@ func newHistoryFixture(t *testing.T, shards, shardID int) *historyFixture {
 	publish := func(m *cellmap.Map) {
 		t.Helper()
 		if _, err := store.Publish(func(dir string) error {
-			f, err := os.Create(filepath.Join(dir, history.DefaultMapFile))
+			f, err := os.Create(filepath.Join(dir, history.MapFile))
 			if err != nil {
 				return err
 			}

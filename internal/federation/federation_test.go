@@ -157,13 +157,13 @@ func receiverStatus(t testing.TB, target string) Status {
 	return st
 }
 
-// offlineMap folds recs through a single-source Window and the offline
+// offlineMap folds recs through a single-source MultiWindow and the offline
 // build chain — the ground truth a federated build must match exactly.
 func offlineMap(t testing.TB, recs []beacon.Record) []byte {
 	t.Helper()
-	win := live.NewWindow(live.DefaultWindowDays)
+	win := live.NewMultiWindow(live.DefaultWindowDays)
 	for _, rec := range recs {
-		win.Add(rec)
+		win.Add(live.LocalSource, rec)
 	}
 	m, err := mapbuild.Build(win.Merged(), classify.DefaultThreshold, win.Period(), testInputs())
 	if err != nil {

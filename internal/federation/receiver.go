@@ -6,18 +6,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cellspot/internal/beacon"
-	"cellspot/internal/classify"
-	"cellspot/internal/history"
 	"cellspot/internal/live"
 	"cellspot/internal/logio"
 	"cellspot/internal/mapbuild"
@@ -26,20 +22,18 @@ import (
 )
 
 const (
-	// CheckpointFile is the federation checkpoint inside a generation: the
-	// multi-source window state plus every collector's acked offsets,
-	// published atomically with the map built from that exact window.
-	CheckpointFile = "federation.json"
+	// CheckpointFile is the checkpoint inside a generation (the one every
+	// window source writes): the multi-source window state plus every
+	// collector's acked offsets, published atomically with the map built
+	// from that exact window.
+	CheckpointFile = live.CheckpointFile
 
-	checkpointFormat = "cellspot-federation-checkpoint/1"
-
-	// DefaultMaxPending bounds segments folded between publishes before
-	// the receiver pushes back with 429.
-	DefaultMaxPending = 4096
+	// maxPending bounds segments folded between publishes; beyond it the
+	// receiver answers 429 until the next Tick drains the backlog into a
+	// generation.
+	maxPending = 4096
 	// DefaultRetryAfter is the Retry-After advertised on 429.
 	DefaultRetryAfter = 2 * time.Second
-	// DefaultTickInterval is the Run publish cadence.
-	DefaultTickInterval = 30 * time.Second
 )
 
 // SegmentResponse is the receiver's JSON reply to a segment POST. Acked is
@@ -58,34 +52,15 @@ type SegmentResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// federationCheckpoint is CheckpointFile's on-disk form.
-type federationCheckpoint struct {
-	Format string                `json:"format"`
-	Window live.MultiWindowState `json:"window"`
-	// Acked maps "<collector>/<shard>" to the folded byte offset as of
-	// this generation. Keys sort deterministically in encoding/json.
-	Acked map[string]int64 `json:"acked"`
-}
-
 // ReceiverConfig parameterizes a Receiver.
 type ReceiverConfig struct {
-	// WindowDays is the sliding window span (live.DefaultWindowDays when
-	// <= 0).
-	WindowDays int
-	// Threshold is the classifier operating point
-	// (classify.DefaultThreshold when 0).
-	Threshold float64
+	// Settings are the engine knobs shared with the spool updater.
+	live.Settings
 	// Inputs is the side data for the map-build chain; Inputs.ASOf is
 	// required.
 	Inputs mapbuild.Inputs
 	// Store receives published generations (required).
 	Store *snapshot.Store
-	// Keep bounds retained generations (live.DefaultKeep when <= 0).
-	Keep int
-	// MaxPending bounds segments folded between publishes
-	// (DefaultMaxPending when <= 0); beyond it the receiver answers 429
-	// until the next Tick drains the backlog into a generation.
-	MaxPending int
 	// MaxInflight bounds concurrently decoded segment requests (0 =
 	// unbounded). Each in-flight request may buffer a full segment before
 	// the fold even starts, so under a shipper stampede this gate sheds
@@ -94,8 +69,6 @@ type ReceiverConfig struct {
 	MaxInflight int
 	// RetryAfter is advertised on 429 (DefaultRetryAfter when <= 0).
 	RetryAfter time.Duration
-	// Interval is the Run publish cadence (DefaultTickInterval when <= 0).
-	Interval time.Duration
 	// Metrics, when non-nil, registers the receiver metric families:
 	//
 	//	federation_recv_segments_total        segments folded
@@ -116,17 +89,17 @@ type ReceiverConfig struct {
 	//	federation_recv_fold_seconds          per-segment fold latency
 	//	federation_recv_publish_seconds       build+publish latency
 	Metrics *obs.Registry
-	// Logf, when non-nil, receives operational log lines.
-	Logf func(format string, args ...any)
 }
 
-// Receiver is the aggregation side of the federation plane: it accepts
-// framed segments from any number of shippers, folds each exactly once
-// into a collector-keyed sliding window, and publishes map generations
-// whose checkpoint binds the window state to the acked offsets that
-// produced it. Safe for concurrent use.
+// Receiver is the aggregation side of the federation plane and the
+// segment source of the fold→publish engine: it accepts framed segments
+// from any number of shippers, folds each exactly once into a
+// collector-keyed sliding window, and hands the engine each tick's window
+// together with the acked offsets that produced it. Safe for concurrent
+// use.
 type Receiver struct {
 	cfg ReceiverConfig
+	eng *live.Engine
 
 	inflight atomic.Int64
 
@@ -165,39 +138,27 @@ type Receiver struct {
 // empty window and zero offsets — shippers will simply re-ship, and their
 // sealed spools make that safe.
 func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("federation: ReceiverConfig.Store is required")
-	}
-	if cfg.Inputs.ASOf == nil {
-		return nil, fmt.Errorf("federation: ReceiverConfig.Inputs.ASOf is required")
-	}
-	if cfg.WindowDays <= 0 {
-		cfg.WindowDays = live.DefaultWindowDays
-	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = classify.DefaultThreshold
-	}
-	if cfg.Keep <= 0 {
-		cfg.Keep = live.DefaultKeep
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = DefaultMaxPending
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = DefaultRetryAfter
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultTickInterval
+	eng, err := live.NewEngine("federation", cfg.Settings, cfg.Inputs, cfg.Store)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
+	win, ck, published, err := eng.Recover()
+	if err != nil {
+		return nil, err
 	}
 	r := &Receiver{
-		cfg:     cfg,
-		win:     live.NewMultiWindow(cfg.WindowDays),
-		acked:   make(map[string]int64),
-		durable: make(map[string]int64),
+		cfg:       cfg,
+		eng:       eng,
+		win:       win,
+		acked:     make(map[string]int64, len(ck.Acked)),
+		durable:   make(map[string]int64, len(ck.Acked)),
+		published: published,
 	}
+	maps.Copy(r.acked, ck.Acked)
+	maps.Copy(r.durable, ck.Acked)
 	if reg := cfg.Metrics; reg != nil {
 		r.mSegments = reg.Counter("federation_recv_segments_total", "Segments folded into the window.")
 		r.mRecords = reg.Counter("federation_recv_records_total", "Records folded into the window.")
@@ -217,47 +178,9 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		r.hFold = reg.Histogram("federation_recv_fold_seconds", "Per-segment verify+fold latency.", nil)
 		r.hPublish = reg.Histogram("federation_recv_publish_seconds", "Build and publish latency of one tick.", nil)
 	}
-	cur, ok, err := cfg.Store.Current()
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		r.published = true
-		if err := r.recover(cur); err != nil {
-			cfg.Logf("federation: checkpoint of %s unreadable (%v); starting empty, shippers will re-ship", cur.Name(), err)
-		}
-	}
-	return r, nil
-}
-
-// recover restores the window and offsets from a generation's federation
-// checkpoint.
-func (r *Receiver) recover(gen snapshot.Generation) error {
-	raw, err := os.ReadFile(gen.Path(CheckpointFile))
-	if err != nil {
-		return err
-	}
-	var ck federationCheckpoint
-	if err := json.Unmarshal(raw, &ck); err != nil {
-		return err
-	}
-	if ck.Format != checkpointFormat {
-		return fmt.Errorf("unknown checkpoint format %q", ck.Format)
-	}
-	win, err := live.RestoreMultiWindow(ck.Window, r.cfg.WindowDays)
-	if err != nil {
-		return err
-	}
-	r.win = win
-	r.acked = make(map[string]int64, len(ck.Acked))
-	r.durable = make(map[string]int64, len(ck.Acked))
-	for k, v := range ck.Acked {
-		r.acked[k] = v
-		r.durable[k] = v
-	}
 	r.gRecords.Set(int64(win.Records()))
 	r.gSources.Set(int64(len(win.RecordsBySource())))
-	return nil
+	return r, nil
 }
 
 // Router is the mux surface MountRoutes needs; *http.ServeMux and
@@ -346,7 +269,7 @@ func (r *Receiver) accept(m Manifest, payload []byte) (int, SegmentResponse) {
 	// Backpressure: the window is draining into a publish, or too much is
 	// pending. Folding now would either race the snapshot or grow the
 	// unpublished (crash-vulnerable) backlog without bound.
-	if r.draining || r.pending >= r.cfg.MaxPending {
+	if r.draining || r.pending >= maxPending {
 		r.mThrottled.Inc()
 		return http.StatusTooManyRequests, SegmentResponse{Acked: acked, Durable: durable, Error: "draining"}
 	}
@@ -432,11 +355,11 @@ func (r *Receiver) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // Tick drains the window into a new generation: it snapshots the merged
 // aggregate, the window state, and the acked offsets under the lock (with
 // draining set, so no fold can slip between the snapshot and the publish),
-// builds the map, and publishes map + federation checkpoint atomically.
-// Once the generation is live, acked becomes durable and pending resets. A
-// tick with nothing pending publishes nothing — unless the store is still
-// empty, in which case a first (possibly empty) generation goes out so the
-// serving side has something to load.
+// and has the engine build the map and publish map + checkpoint atomically
+// outside the lock. Once the generation is live, acked becomes durable and
+// pending resets. A tick with nothing pending publishes nothing — unless
+// the store is still empty, in which case a first (possibly empty)
+// generation goes out so the serving side has something to load.
 func (r *Receiver) Tick() (live.Refresh, error) {
 	start := time.Now()
 	r.mu.Lock()
@@ -452,19 +375,11 @@ func (r *Receiver) Tick() (live.Refresh, error) {
 	r.draining = true
 	folded := r.pending
 	agg := r.win.Merged()
-	period := r.win.Period()
-	ck := federationCheckpoint{
-		Format: checkpointFormat,
-		Window: r.win.State(),
-		Acked:  make(map[string]int64, len(r.acked)),
-	}
-	for k, v := range r.acked {
-		ck.Acked[k] = v
-	}
+	ck := live.Checkpoint{Window: r.win.State(), Acked: maps.Clone(r.acked)}
 	windowRecords := r.win.Records()
 	r.mu.Unlock()
 
-	gen, entries, err := r.publish(agg, period, ck)
+	res, err := r.eng.Publish(agg, ck)
 
 	r.mu.Lock()
 	r.draining = false
@@ -472,9 +387,7 @@ func (r *Receiver) Tick() (live.Refresh, error) {
 		r.published = true
 		r.pending -= folded
 		r.gPending.Set(int64(r.pending))
-		for k, v := range ck.Acked {
-			r.durable[k] = v
-		}
+		maps.Copy(r.durable, ck.Acked)
 	}
 	r.mu.Unlock()
 	if err != nil {
@@ -482,103 +395,14 @@ func (r *Receiver) Tick() (live.Refresh, error) {
 	}
 	r.mPublish.Inc()
 	r.hPublish.Observe(time.Since(start).Seconds())
-	if _, err := r.cfg.Store.Prune(r.cfg.Keep); err != nil {
-		r.cfg.Logf("federation: prune: %v", err)
-	}
-	return live.Refresh{
-		Published:     true,
-		Generation:    gen,
-		WindowRecords: windowRecords,
-		Entries:       entries,
-	}, nil
+	r.eng.Prune()
+	res.WindowRecords = windowRecords
+	return res, nil
 }
 
-// publish builds the map from a drained aggregate and writes map +
-// checkpoint into one staged generation.
-func (r *Receiver) publish(agg *beacon.Aggregate, period string, ck federationCheckpoint) (snapshot.Generation, int, error) {
-	m, err := mapbuild.Build(agg, r.cfg.Threshold, period, r.cfg.Inputs)
-	if err != nil {
-		return snapshot.Generation{}, 0, err
-	}
-	raw, err := json.Marshal(ck)
-	if err != nil {
-		return snapshot.Generation{}, 0, err
-	}
-	gen, err := r.cfg.Store.Publish(func(dir string) error {
-		f, err := os.Create(filepath.Join(dir, live.MapFile))
-		if err != nil {
-			return err
-		}
-		if err := m.Write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dir, CheckpointFile), append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		return history.WriteMeta(dir, history.GenMeta{
-			BuiltUnix: time.Now().Unix(),
-			Entries:   m.Len(),
-			Period:    m.Period,
-			Threshold: r.cfg.Threshold,
-			RAT:       m.HasRAT(),
-		})
-	})
-	if err != nil {
-		return snapshot.Generation{}, 0, err
-	}
-	return gen, m.Len(), nil
-}
-
-// Run ticks on every interval until ctx is done. Tick errors are logged
-// and the loop continues: a transient disk failure must not kill the
-// aggregation plane.
-func (r *Receiver) Run(ctx context.Context) {
-	t := time.NewTicker(r.cfg.Interval)
-	defer t.Stop()
-	for {
-		res, err := r.Tick()
-		switch {
-		case err != nil:
-			r.cfg.Logf("federation: tick: %v", err)
-		case res.Published:
-			srcs := r.SourceRecords()
-			r.cfg.Logf("federation: published %s: %d entries from %d window records across %d collectors",
-				res.Generation.Name(), res.Entries, res.WindowRecords, len(srcs))
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-	}
-}
-
-// SourceRecords returns per-collector retained record counts, sorted keys.
-func (r *Receiver) SourceRecords() []SourceRecords {
-	r.mu.Lock()
-	per := r.win.RecordsBySource()
-	r.mu.Unlock()
-	keys := make([]string, 0, len(per))
-	for k := range per {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]SourceRecords, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, SourceRecords{Collector: k, Records: per[k]})
-	}
-	return out
-}
-
-// SourceRecords is one collector's retained record count.
-type SourceRecords struct {
-	Collector string `json:"collector"`
-	Records   int    `json:"records"`
-}
+// Run ticks immediately, then on every interval until ctx is done (see
+// live.Engine.Run).
+func (r *Receiver) Run(ctx context.Context) { r.eng.Run(ctx, r.Tick) }
 
 // readAllLimited reads a decompressed stream, refusing to balloon past the
 // decoded-size cap implied by MaxSegmentBytes times a sanity factor.

@@ -34,7 +34,7 @@ func TestHistoryPruneHammer(t *testing.T) {
 	}
 	publish := func(expect uint64) {
 		gen, err := store.Publish(func(dir string) error {
-			if err := os.WriteFile(filepath.Join(dir, DefaultMapFile),
+			if err := os.WriteFile(filepath.Join(dir, MapFile),
 				[]byte(mapJSONL(t, fmt.Sprintf("p%d", expect), genEntries(expect))), 0o644); err != nil {
 				return err
 			}

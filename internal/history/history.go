@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"cellspot/internal/cellmap"
 	"cellspot/internal/obs"
@@ -31,8 +32,12 @@ import (
 const (
 	// MetaFile is the per-generation metadata sidecar's file name.
 	MetaFile = "meta.json"
-	// DefaultMapFile matches live.MapFile; Config.MapFile overrides.
-	DefaultMapFile = "cellmap.jsonl"
+	// MapFile is the map's file name inside every generation.
+	MapFile = "cellmap.jsonl"
+	// CheckpointFile holds, next to a map, the state of the window the map
+	// was built from (see live.Checkpoint). The name dates from the
+	// federation receiver, whose format every window source now shares.
+	CheckpointFile = "federation.json"
 	// DefaultMaxResident is the LRU bound on generations held in memory.
 	DefaultMaxResident = 4
 
@@ -68,6 +73,35 @@ func WriteMeta(dir string, meta GenMeta) error {
 	return os.WriteFile(filepath.Join(dir, MetaFile), append(raw, '\n'), 0o644)
 }
 
+// Publish writes m into a new generation of store: MapFile, the meta.json
+// sidecar and, when checkpoint is non-nil, CheckpointFile. meta supplies
+// what m cannot (the day window); build time, entry count, period,
+// threshold and RAT come from m. Every publisher goes through here, so
+// every generation has the same layout.
+func Publish(store *snapshot.Store, m *cellmap.Map, meta GenMeta, checkpoint []byte) (snapshot.Generation, error) {
+	meta.BuiltUnix = time.Now().Unix()
+	meta.Entries, meta.Period, meta.Threshold, meta.RAT = m.Len(), m.Period, m.Threshold, m.HasRAT()
+	return store.Publish(func(dir string) error {
+		f, err := os.Create(filepath.Join(dir, MapFile))
+		if err != nil {
+			return err
+		}
+		if err := m.Write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if checkpoint != nil {
+			if err := os.WriteFile(filepath.Join(dir, CheckpointFile), checkpoint, 0o644); err != nil {
+				return err
+			}
+		}
+		return WriteMeta(dir, meta)
+	})
+}
+
 // GenInfo pairs a generation sequence with its metadata.
 type GenInfo struct {
 	Seq  uint64  `json:"generation"`
@@ -93,9 +127,6 @@ func (e *PrunedError) Error() string {
 type Config struct {
 	// Store is the snapshot store to index. Required.
 	Store *snapshot.Store
-	// MapFile is the map's file name inside each generation
-	// (DefaultMapFile when empty).
-	MapFile string
 	// MaxResident bounds how many generations stay loaded in memory
 	// (DefaultMaxResident when <= 0). The bound applies to fully loaded
 	// maps; in-flight loads are never evicted.
@@ -134,9 +165,6 @@ type Index struct {
 func New(cfg Config) (*Index, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("history: Config.Store is required")
-	}
-	if cfg.MapFile == "" {
-		cfg.MapFile = DefaultMapFile
 	}
 	if cfg.MaxResident <= 0 {
 		cfg.MaxResident = DefaultMaxResident
@@ -217,7 +245,7 @@ func (ix *Index) readMeta(g snapshot.Generation) (GenMeta, error) {
 		}
 		// Malformed sidecar: fall through to the header fallback.
 	}
-	f, err := os.Open(g.Path(ix.cfg.MapFile))
+	f, err := os.Open(g.Path(MapFile))
 	if err != nil {
 		return GenMeta{}, err
 	}
@@ -356,7 +384,7 @@ func (ix *Index) load(seq uint64) (*cellmap.Map, error) {
 		return nil, perr
 	}
 	defer ix.cfg.Store.Unpin(seq)
-	f, err := os.Open(gen.Path(ix.cfg.MapFile))
+	f, err := os.Open(gen.Path(MapFile))
 	if err != nil {
 		return nil, fmt.Errorf("history: open gen %d: %w", seq, err)
 	}

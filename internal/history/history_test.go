@@ -59,7 +59,7 @@ func mkMap(t testing.TB, period string, entries []hEntry) *cellmap.Map {
 func publishGen(t testing.TB, store *snapshot.Store, period string, entries []hEntry, noMeta bool) uint64 {
 	t.Helper()
 	gen, err := store.Publish(func(dir string) error {
-		if err := os.WriteFile(filepath.Join(dir, DefaultMapFile),
+		if err := os.WriteFile(filepath.Join(dir, MapFile),
 			[]byte(mapJSONL(t, period, entries)), 0o644); err != nil {
 			return err
 		}

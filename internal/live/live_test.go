@@ -135,10 +135,10 @@ func recAt(day int64, ip string, conn string) beacon.Record {
 
 func TestWindowSlidesAndPrunes(t *testing.T) {
 	cell := netinfo.ConnCellular.String()
-	w := NewWindow(3)
-	w.Add(recAt(100, "10.0.0.1", cell))
-	w.Add(recAt(101, "10.0.1.1", cell))
-	w.Add(recAt(102, "10.0.2.1", cell))
+	w := NewMultiWindow(3)
+	w.Add(LocalSource, recAt(100, "10.0.0.1", cell))
+	w.Add(LocalSource, recAt(101, "10.0.1.1", cell))
+	w.Add(LocalSource, recAt(102, "10.0.2.1", cell))
 	if w.Records() != 3 {
 		t.Fatalf("records = %d, want 3", w.Records())
 	}
@@ -146,12 +146,12 @@ func TestWindowSlidesAndPrunes(t *testing.T) {
 		t.Fatalf("period = %q", got)
 	}
 	// Day 104 evicts days 100 and 101.
-	w.Add(recAt(104, "10.0.4.1", cell))
+	w.Add(LocalSource, recAt(104, "10.0.4.1", cell))
 	if w.Records() != 2 || w.Stale() != 2 {
 		t.Fatalf("after slide: records=%d stale=%d, want 2/2", w.Records(), w.Stale())
 	}
 	// A record older than the window is dropped on arrival.
-	if w.Add(recAt(101, "10.0.1.2", cell)) {
+	if w.Add(LocalSource, recAt(101, "10.0.1.2", cell)) {
 		t.Fatal("stale record accepted")
 	}
 	agg := w.Merged()
@@ -166,8 +166,8 @@ func TestWindowSlidesAndPrunes(t *testing.T) {
 	}
 }
 
-// TestWindowOrderIndependence: the merged aggregate over the final window
-// must not depend on record arrival order.
+// TestWindowOrderIndependence: the merged aggregate of a single-source
+// window must not depend on record arrival order.
 func TestWindowOrderIndependence(t *testing.T) {
 	cell := netinfo.ConnCellular.String()
 	records := []beacon.Record{
@@ -181,9 +181,9 @@ func TestWindowOrderIndependence(t *testing.T) {
 	perms := [][]int{{0, 1, 2, 3, 4, 5}, {3, 4, 5, 0, 1, 2}, {5, 4, 3, 2, 1, 0}, {2, 0, 3, 1, 5, 4}}
 	var want map[netaddr.Block]beacon.Counts
 	for pi, perm := range perms {
-		w := NewWindow(3)
+		w := NewMultiWindow(3)
 		for _, i := range perm {
-			w.Add(records[i])
+			w.Add(LocalSource, records[i])
 		}
 		got := make(map[netaddr.Block]beacon.Counts)
 		for b, c := range w.Merged().PerBlock {
@@ -346,7 +346,7 @@ func TestTailerGzipTruncatedThenSealed(t *testing.T) {
 // --- updater ----------------------------------------------------------
 
 // TestLiveOfflineEquivalence replays a spool through the live path (tailer
-// → window → mapbuild.Build via a full Updater publish) and rebuilds offline from
+// → MultiWindow → mapbuild.Build via a full Updater publish) and rebuilds offline from
 // the same records over the same window; the two maps must serialize to
 // identical bytes. Covers plain and gzip spools.
 func TestLiveOfflineEquivalence(t *testing.T) {
@@ -407,7 +407,7 @@ func TestLiveOfflineEquivalence(t *testing.T) {
 				return time.Unix(d*secondsPerDay, 0).UTC().Format("2006-01-02")
 			}
 			period := fmt.Sprintf("live:%s..%s", day(maxDay-DefaultWindowDays+1), day(maxDay))
-			m, err := mapbuild.Build(agg, u.cfg.Threshold, period, fx.Inputs)
+			m, err := mapbuild.Build(agg, u.eng.Threshold, period, fx.Inputs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,10 +3,73 @@ package live
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"cellspot/internal/beacon"
 	"cellspot/internal/netaddr"
 )
+
+// DefaultWindowDays matches the paper's seven-day DEMAND smoothing window.
+const DefaultWindowDays = 7
+
+// secondsPerDay converts record timestamps to epoch-day bucket keys.
+const secondsPerDay = 86400
+
+// epochDay returns the UTC day number a timestamp falls in.
+func epochDay(t time.Time) int64 {
+	s := t.Unix()
+	// Floor division, so pre-1970 timestamps (malformed clocks) still
+	// bucket consistently instead of rounding toward zero.
+	d := s / secondsPerDay
+	if s%secondsPerDay < 0 {
+		d--
+	}
+	return d
+}
+
+type dayBucket struct {
+	agg     *beacon.Aggregate
+	records int
+}
+
+// span is a window's extent: the days-long run of UTC days ending at the
+// newest day observed, or nothing before the first record.
+type span struct {
+	days     int
+	latest   int64 // newest epoch day observed; meaningless until nonEmpty
+	nonEmpty bool
+}
+
+// Days returns the window span in days.
+func (s span) Days() int { return s.days }
+
+// oldest returns the oldest retained day: days-1 before the newest.
+func (s span) oldest() int64 { return s.latest - int64(s.days) + 1 }
+
+// DayRange returns the first and last retained day as "2006-01-02"
+// strings; ok is false on an empty window. Publishers record the span in
+// generation metadata so the history index can show each generation's day
+// window without parsing Period labels.
+func (s span) DayRange() (first, last string, ok bool) {
+	if !s.nonEmpty {
+		return "", "", false
+	}
+	fmtDay := func(d int64) string {
+		return time.Unix(d*secondsPerDay, 0).UTC().Format("2006-01-02")
+	}
+	return fmtDay(s.oldest()), fmtDay(s.latest), true
+}
+
+// Period labels the window for the published map, e.g.
+// "live:2016-12-25..2016-12-31" — the (at most) days-long span ending at
+// the newest day observed. An empty window is labeled "live:empty".
+func (s span) Period() string {
+	first, last, ok := s.DayRange()
+	if !ok {
+		return "live:empty"
+	}
+	return fmt.Sprintf("live:%s..%s", first, last)
+}
 
 // DayState is one day bucket of a window, serialized for a checkpoint.
 // Blocks are sorted so the bytes are deterministic for a given state.
@@ -29,8 +92,7 @@ type BlockState struct {
 }
 
 // encodeBuckets serializes day buckets in ascending day order with sorted
-// blocks — the deterministic layout both the live checkpoint and the
-// federation checkpoint use.
+// blocks, so a checkpoint's bytes are deterministic.
 func encodeBuckets(buckets map[int64]*dayBucket) []DayState {
 	days := make([]int64, 0, len(buckets))
 	for day := range buckets {
@@ -87,28 +149,42 @@ func decodeBuckets(states []DayState) (map[int64]*dayBucket, int, error) {
 	return buckets, records, nil
 }
 
-// MultiWindow is the federation plane's sliding window: per-day BEACON
-// buckets like Window, but kept per source collector so a fleet's
-// observations stay attributable — per-collector record counts, straggler
-// detection, and a checkpoint that restores each collector's contribution
-// exactly.
+// MultiWindow is the sliding time window every map is built from: per-day
+// BEACON buckets, kept per source so observations stay attributable —
+// per-collector record counts, straggler detection, and a checkpoint that
+// restores each source's contribution exactly. The spool updater folds
+// everything under LocalSource; the federation receiver under each
+// shipping collector's ID.
 //
-// The anchor is global: the newest day observed across ALL sources, and
-// every source's buckets older than anchor-span are pruned. The merged
-// aggregate is therefore bit-identical to folding the same records through
-// one single-source Window — source attribution never perturbs the
-// published map, which is what makes a federated build comparable to a
-// single-collector offline build. A collector lagging more than the window
-// span behind the fleet's newest day sees its records counted as
-// stragglers, exactly as Window does (see Window's retention contract).
+// Records fold into the bucket of their UTC day, and buckets older than
+// the span — anchored at the newest day observed across ALL sources, not at
+// the wall clock — are pruned. The merged aggregate therefore depends only
+// on the record multiset, never on arrival order or on how records are
+// spread over sources: a record survives into Merged exactly when its day
+// lies within the final window, because late-arriving old records land in
+// buckets that pruning removes wholesale. That is what makes a federated
+// build comparable to a single-collector offline build.
+//
+// Retention contract: with the anchor at day A and a span of D days, the
+// window retains exactly the days (A-D, A]. A record can leave the window
+// two ways, and the window counts them separately:
+//
+//   - pruned: its day was inside the window when it arrived, and a later
+//     record advanced the anchor past it. Normal retention — the record had
+//     its chance to be served.
+//   - straggler: it arrived already older than A-D+1 (a delayed collector,
+//     a clock-skewed device, an out-of-order day in a shipped shard) and
+//     was dropped on arrival, never contributing to any published map.
+//
+// Stale() reports the sum of both; Stragglers() isolates the second, which
+// is the signal a federated deployment watches — a collector whose shipped
+// days consistently straggle is lagging beyond the window span.
 type MultiWindow struct {
-	days       int
-	latest     int64
-	nonEmpty   bool
+	span
 	sources    map[string]map[int64]*dayBucket
-	records    int
-	stale      int
-	stragglers int
+	records    int // records across retained buckets
+	stale      int // records dropped: stragglers + records pruned by a slide
+	stragglers int // records dropped on arrival as older than the window
 }
 
 // NewMultiWindow returns an empty multi-source window spanning the given
@@ -117,13 +193,8 @@ func NewMultiWindow(days int) *MultiWindow {
 	if days <= 0 {
 		days = DefaultWindowDays
 	}
-	return &MultiWindow{days: days, sources: make(map[string]map[int64]*dayBucket)}
+	return &MultiWindow{span: span{days: days}, sources: make(map[string]map[int64]*dayBucket)}
 }
-
-// Days returns the window span in days.
-func (m *MultiWindow) Days() int { return m.days }
-
-func (m *MultiWindow) oldest() int64 { return m.latest - int64(m.days) + 1 }
 
 // Add folds one record from the named source into its day bucket,
 // advancing the global anchor when the record opens a newer day. It
@@ -196,14 +267,15 @@ func (m *MultiWindow) RecordsBySource() map[string]int {
 // on arrival or by a later slide.
 func (m *MultiWindow) Stale() int { return m.stale }
 
-// Stragglers returns the number of records dropped on arrival as older
-// than the window (see Window's retention contract).
+// Stragglers returns the number of records dropped on arrival because
+// their day was already older than the window — out-of-order or delayed
+// data that never contributed to any published map, as opposed to records
+// pruned by normal retention. See the retention contract on MultiWindow.
 func (m *MultiWindow) Stragglers() int { return m.stragglers }
 
 // Merged returns the aggregate over every retained bucket of every source.
 // Counts are integers, so the merge is identical regardless of source,
-// bucket, or arrival order — and identical to a single-source Window fed
-// the same records.
+// bucket, or arrival order.
 func (m *MultiWindow) Merged() *beacon.Aggregate {
 	out := beacon.NewAggregate()
 	for _, buckets := range m.sources {
@@ -214,15 +286,6 @@ func (m *MultiWindow) Merged() *beacon.Aggregate {
 	return out
 }
 
-// Period labels the window for the published map, same scheme as Window.
-func (m *MultiWindow) Period() string {
-	if !m.nonEmpty {
-		return "live:empty"
-	}
-	w := Window{days: m.days, latest: m.latest, nonEmpty: true}
-	return w.Period()
-}
-
 // MultiWindowState is a MultiWindow serialized for a checkpoint. Sources
 // are sorted by collector ID and buckets by day, so the encoding is
 // deterministic for a given window state.
@@ -231,6 +294,10 @@ type MultiWindowState struct {
 	Latest   int64         `json:"latest_day"`
 	NonEmpty bool          `json:"non_empty"`
 	Sources  []SourceState `json:"sources"`
+}
+
+func (st MultiWindowState) span() span {
+	return span{days: st.Days, latest: st.Latest, nonEmpty: st.NonEmpty}
 }
 
 // SourceState is one collector's retained buckets.

@@ -12,19 +12,19 @@ import (
 )
 
 // TestWindowStragglersVsPruned pins the retention contract's two drop
-// classes apart. Before the fix, the window folded both into one Stale()
-// tally: a record arriving already older than the window (a straggler — an
+// classes apart, on a single-source window. Before the fix, the window
+// folded both into one Stale() tally: a record arriving already older than the window (a straggler — an
 // operational signal, something is lagging) was indistinguishable from a
 // record aged out by normal retention (business as usual). This test fails
 // against that behavior.
 func TestWindowStragglersVsPruned(t *testing.T) {
 	cell := netinfo.ConnCellular.String()
-	w := NewWindow(3)
-	w.Add(recAt(100, "10.0.0.1", cell))
-	w.Add(recAt(101, "10.0.1.1", cell))
+	w := NewMultiWindow(3)
+	w.Add(LocalSource, recAt(100, "10.0.0.1", cell))
+	w.Add(LocalSource, recAt(101, "10.0.1.1", cell))
 
 	// Day 104 prunes days 100 and 101: retention, not stragglers.
-	w.Add(recAt(104, "10.0.4.1", cell))
+	w.Add(LocalSource, recAt(104, "10.0.4.1", cell))
 	if w.Stale() != 2 {
 		t.Fatalf("stale after slide = %d, want 2", w.Stale())
 	}
@@ -33,7 +33,7 @@ func TestWindowStragglersVsPruned(t *testing.T) {
 	}
 
 	// A day-101 record now arrives too late: that IS a straggler.
-	if w.Add(recAt(101, "10.0.1.2", cell)) {
+	if w.Add(LocalSource, recAt(101, "10.0.1.2", cell)) {
 		t.Fatal("stale record accepted")
 	}
 	if w.Stragglers() != 1 {
@@ -77,17 +77,17 @@ func TestUpdaterStragglerMetric(t *testing.T) {
 }
 
 // TestMultiWindowMatchesSingleSourceWindow: source attribution must never
-// perturb the merged aggregate — folding the same records through a
-// MultiWindow (spread across collectors) and a single Window must yield
-// identical merged counts and the same period label. This is the invariant
+// perturb the merged aggregate — folding the same records spread across
+// three collectors and all under one source must yield identical merged
+// counts and the same period label. This is the invariant
 // behind "federated build == single-collector build".
 func TestMultiWindowMatchesSingleSourceWindow(t *testing.T) {
 	fx := newFixture(t, 30_000)
-	single := NewWindow(DefaultWindowDays)
+	single := NewMultiWindow(DefaultWindowDays)
 	multi := NewMultiWindow(DefaultWindowDays)
 	sources := []string{"c-a", "c-b", "c-c"}
 	for i, rec := range fx.Records {
-		single.Add(rec)
+		single.Add(LocalSource, rec)
 		multi.Add(sources[i%len(sources)], rec)
 	}
 	if single.Records() != multi.Records() {

@@ -10,7 +10,7 @@
 //	CURRENT              — one line, the name of the live generation
 //	gen-00000042/        — one complete, immutable generation
 //	  cellmap.jsonl      —   (caller-defined files)
-//	  checkpoint.json
+//	  federation.json
 //	.tmp-gen-00000043/   — staging for an in-flight publish
 //
 // Crash-recovery invariants:
